@@ -253,9 +253,12 @@ def retime_durations(cs: CompiledSchedule, machine,
     return cs.model_durations(machine, nbytes=scaled), factor
 
 
-def retime_cell(cs: CompiledSchedule, machine, nbytes: int) -> dict:
+def retime_cell(cs: CompiledSchedule, machine,
+                nbytes: int) -> "Tuple[dict, object]":
     """Model-level re-timing of a captured schedule at a different
-    message size in the same decision region.
+    message size in the same decision region.  Returns the cell result
+    and the per-op durations it replayed (perturbation ensembles reuse
+    them as their base).
 
     Per-op byte footprints are scaled by ``nbytes / captured_size``
     (the guards guarantee the op *structure* is size-invariant inside
@@ -279,7 +282,7 @@ def retime_cell(cs: CompiledSchedule, machine, nbytes: int) -> dict:
         "dav": int(round(int(cs.meta.get("dav", 0)) * factor)),
         "algorithm": cs.meta.get("algorithm", ""),
         "counters": counters.snapshot(),
-    }
+    }, dur
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +528,7 @@ def exec_compiled_cell(payload: dict) -> dict:
     retimed = poly and int(cs.meta.get("s", -1)) != payload["nbytes"]
     dur = None  # base durations the cell replays (None = captured)
     if retimed:
-        dur, _ = retime_durations(cs, machine, payload["nbytes"])
-        result = retime_cell(cs, machine, payload["nbytes"])
+        result, dur = retime_cell(cs, machine, payload["nbytes"])
         result["poly"] = {"region": key, "retimed": True}
     else:
         result = replay_cell(cs)

@@ -1,7 +1,8 @@
 """Hierarchy-family bench cells: composed multi-node collectives.
 
-A ``family="hierarchy"`` runner prices a whole cluster collective as a
-two-level stack from :mod:`repro.library.hierarchy`: intra-node leaf
+A ``family="hierarchy"`` runner prices a whole cluster collective as the
+two-level stack :func:`repro.library.hierarchy.allreduce_hierarchy`
+builds for the runner's implementation: intra-node leaf
 phases driven by the simulated engine, an inter-node exchange priced on
 the network cost model.  The cell's ``counters`` field carries the full
 ``repro-hier/1`` per-level breakdown instead of a ``repro-obs/1``
@@ -30,17 +31,21 @@ coroutine-vs-compiled byte-identical JSON property.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from types import SimpleNamespace
+from typing import Callable, Dict
 
 from repro.bench.runners import ITERATIONS, CellResult
-from repro.library.hierarchy import Hierarchy, allreduce_stages
+from repro.library.hierarchy import (
+    EXCHANGES,
+    MODE_KINDS,
+    allreduce_hierarchy,
+    hierarchy_mode,
+    pipeline_chunks,
+)
 from repro.machine.network import INFINIBAND_EDR, NETWORKS, Network
 
-#: leaf collective kinds per hierarchy mode
-MODE_KINDS = {
-    "partition": ("reduce_scatter", "allgather"),
-    "leader": ("reduce", "bcast"),
-}
+#: the params a hierarchy runner spec may carry
+PARAMS = ("nnodes", "network", "exchange")
 
 
 @dataclass(frozen=True)
@@ -49,51 +54,36 @@ class HierConfig:
 
     implementation: str
     nnodes: int
-    mode: str
-    lanes: Optional[int]
     network: str
     exchange: str
-    pipelined: bool
-    adaptive: bool
 
     @property
-    def vendor(self) -> str:
-        """The node-model vendor backing non-YHCCL leaves."""
-        return ("Open MPI" if self.implementation == "OMPI-hcoll"
-                else self.implementation)
+    def kinds(self) -> tuple:
+        """The leaf collective kinds this cell's hierarchy runs."""
+        return MODE_KINDS[hierarchy_mode(self.implementation)]
 
 
 def resolve_config(implementation: str, params: dict) -> HierConfig:
-    """Fill the per-implementation defaults of a hierarchy cell."""
+    """Validate a hierarchy cell's params and fill their defaults."""
+    unknown = sorted(set(params) - set(PARAMS))
+    if unknown:
+        raise ValueError(f"unknown hierarchy param(s) {unknown}; "
+                         f"choose from {PARAMS}")
     nnodes = int(params.get("nnodes", 0))
     if nnodes < 1:
         raise ValueError(
             "hierarchy cell needs nnodes >= 1 (set it on the spec or "
             "use a sweep with axis='nodes')")
-    mode = params.get("mode") or (
-        "partition" if implementation == "YHCCL" else "leader")
-    if mode not in MODE_KINDS:
-        raise ValueError(f"unknown hierarchy mode {mode!r}")
     network = params.get("network") or INFINIBAND_EDR.name
     if network not in NETWORKS:
         raise ValueError(
             f"unknown network preset {network!r}; "
             f"choose from {sorted(NETWORKS)}")
     exchange = params.get("exchange", "")
-    if exchange not in ("", "ring", "tree", "rabenseifner"):
+    if exchange and exchange not in EXCHANGES:
         raise ValueError(f"unknown exchange stage {exchange!r}")
-    lanes = params.get("lanes")
-    return HierConfig(
-        implementation=implementation,
-        nnodes=nnodes,
-        mode=mode,
-        lanes=None if lanes is None else int(lanes),
-        network=network,
-        exchange=exchange,
-        pipelined=bool(params.get("pipelined", True)),
-        adaptive=bool(params.get("adaptive",
-                                 implementation == "OMPI-hcoll")),
-    )
+    return HierConfig(implementation=implementation, nnodes=nnodes,
+                      network=network, exchange=exchange)
 
 
 @dataclass(frozen=True)
@@ -109,16 +99,6 @@ class _Leaf:
 LeafOp = Callable[[int], _Leaf]
 
 
-def _pipeline_chunks(cfg: HierConfig, nbytes: int) -> int:
-    from repro.library.multinode import MultiNodeAllreduce
-
-    c = MultiNodeAllreduce.PIPELINE_CHUNKS
-    if (cfg.pipelined and cfg.mode == "partition" and cfg.nnodes > 1
-            and nbytes >= c * (1 << 20)):
-        return c
-    return 1
-
-
 def run_hierarchy(cfg: HierConfig, machine_name: str, p: int, nbytes: int,
                   leaf_ops: "Dict[str, LeafOp]") -> dict:
     """Compose one hierarchy cell result from per-leaf drivers.
@@ -126,42 +106,12 @@ def run_hierarchy(cfg: HierConfig, machine_name: str, p: int, nbytes: int,
     Returns the JSON-safe cell dict (``time`` / ``dav`` / ``algorithm``
     / ``counters``) with the ``repro-hier/1`` document as counters.
     """
-    from repro.library.hierarchy import (
-        RabenseifnerStage,
-        RingStage,
-        TreeAllreduceStage,
-    )
-
-    net = Network(NETWORKS[cfg.network])
-    exchange_stage = None
-    if cfg.exchange:
-        lanes = cfg.lanes if cfg.lanes is not None else (
-            p if cfg.mode == "partition" else 1)
-        exchange_stage = {
-            "ring": lambda: RingStage(net, cfg.nnodes, lanes=lanes),
-            "tree": lambda: TreeAllreduceStage(net, cfg.nnodes),
-            "rabenseifner": lambda: RabenseifnerStage(
-                net, cfg.nnodes, lanes=lanes),
-        }[cfg.exchange]()
-    stages = allreduce_stages(
-        None,
-        net=net,
-        nnodes=cfg.nnodes,
-        nranks_per_node=p,
-        mode=cfg.mode,
-        lanes=cfg.lanes,
-        network_stage=exchange_stage,
-        adaptive=cfg.adaptive,
-        leaf_ops=dict(leaf_ops),
-    )
-    hierarchy = Hierarchy(
-        stages,
-        name=f"{cfg.implementation}-{cfg.mode}",
-        network=net,
-        nnodes=cfg.nnodes,
-        nranks=cfg.nnodes * p,
-    )
-    res = hierarchy.run(nbytes, chunks=_pipeline_chunks(cfg, nbytes))
+    hierarchy = allreduce_hierarchy(
+        cfg.implementation, [("", p, SimpleNamespace(**leaf_ops))],
+        nnodes=cfg.nnodes, network=Network(NETWORKS[cfg.network]),
+        exchange=cfg.exchange)
+    res = hierarchy.run(
+        nbytes, chunks=pipeline_chunks(cfg.implementation, cfg.nnodes, nbytes))
     doc = res.to_doc()
     doc["implementation"] = cfg.implementation
     doc["machine"] = machine_name
@@ -188,21 +138,19 @@ def _coroutine_leaf_ops(cfg: HierConfig, machine,
     """Each leaf runs on a fresh communicator at the bench iteration
     discipline — matching what the compiled path captures."""
     from repro.library.communicator import Communicator
-    from repro.library.mpi import MPILibrary
-    from repro.library.yhccl import YHCCL
+    from repro.library.hierarchy import leaf_library
 
     def make(kind: str) -> LeafOp:
         def op(nbytes: int) -> _Leaf:
             comm = Communicator(p, machine=machine, functional=False)
-            lib = (YHCCL(comm) if cfg.implementation == "YHCCL"
-                   else MPILibrary(comm, cfg.vendor))
+            lib = leaf_library(comm, cfg.implementation)
             res = getattr(lib, kind)(nbytes, iterations=ITERATIONS)
             return _Leaf(time=res.time, dav=res.dav,
                          algorithm=res.algorithm)
 
         return op
 
-    return {kind: make(kind) for kind in MODE_KINDS[cfg.mode]}
+    return {kind: make(kind) for kind in cfg.kinds}
 
 
 def hierarchy_cell(implementation: str, params: dict):
@@ -237,6 +185,7 @@ def exec_hierarchy_compiled(payload: dict) -> dict:
     from repro.bench.cache import descriptor_key
     from repro.bench.compiled import _load_schedule, schedule_descriptor
     from repro.bench.spec import RunnerSpec
+    from repro.library.hierarchy import node_vendor
 
     runner = payload["runner"]
     cfg = resolve_config(runner["vendor"],
@@ -250,7 +199,7 @@ def exec_hierarchy_compiled(payload: dict) -> dict:
             sub_runner = RunnerSpec(family="yhccl", kind=kind)
         else:
             sub_runner = RunnerSpec(family="vendor", kind=kind,
-                                    vendor=cfg.vendor)
+                                    vendor=node_vendor(cfg.implementation))
 
         def op(nbytes: int) -> _Leaf:
             from repro.bench.compiled import replay_cell
@@ -273,7 +222,7 @@ def exec_hierarchy_compiled(payload: dict) -> dict:
 
         return op
 
-    ops = {kind: make(kind) for kind in MODE_KINDS[cfg.mode]}
+    ops = {kind: make(kind) for kind in cfg.kinds}
     result = run_hierarchy(cfg, machine_name, p, payload["nbytes"], ops)
     if captured:
         result["captured"] = True  # transient: stripped before caching

@@ -138,32 +138,25 @@ def vendor_spec(vendor: str, kind: str) -> RunnerSpec:
 
 
 def hierarchy_spec(implementation: str, *, nnodes: int = 0,
-                   mode: str = "", lanes: Optional[int] = None,
-                   network: str = "", exchange: str = "",
-                   pipelined: bool = True) -> RunnerSpec:
+                   network: str = "", exchange: str = "") -> RunnerSpec:
     """A composed multi-node hierarchy column.
 
     ``implementation`` is ``"YHCCL"`` or a vendor name (as accepted by
-    :class:`~repro.library.multinode.MultiNodeAllreduce`).  ``nnodes``
+    :func:`~repro.library.hierarchy.allreduce_hierarchy`).  ``nnodes``
     may stay 0 when the sweep's axis is ``"nodes"`` — each cell then
-    injects its node count.  ``exchange`` overrides the implementation's
-    native inter-node stage (``"ring"`` / ``"tree"`` /
-    ``"rabenseifner"``).  Only non-default config values enter
-    ``params`` so cache descriptors stay minimal and stable.
+    injects its node count.  ``network`` names a NIC preset (default
+    EDR).  ``exchange`` overrides the implementation's native
+    inter-node stage (``"ring"`` / ``"tree"`` / ``"rabenseifner"``).
+    Only non-default config values enter ``params`` so cache
+    descriptors stay minimal and stable.
     """
     kept: dict = {}
     if nnodes:
         kept["nnodes"] = nnodes
-    if mode:
-        kept["mode"] = mode
-    if lanes is not None:
-        kept["lanes"] = lanes
     if network:
         kept["network"] = network
     if exchange:
         kept["exchange"] = exchange
-    if not pipelined:
-        kept["pipelined"] = False
     return RunnerSpec(family="hierarchy", kind="allreduce",
                       vendor=implementation,
                       params=tuple(sorted(kept.items())))

@@ -20,7 +20,6 @@ so benchmark code can sweep implementations uniformly.
 from repro.library.communicator import Communicator
 from repro.library.yhccl import YHCCL, CollectiveResult
 from repro.library.mpi import MPILibrary, ALGORITHMS, implementations
-from repro.library.cluster import ClusterAllreduce, ClusterResult
 from repro.library.hierarchy import (
     BestOfStage,
     GroupedLeafStage,
@@ -34,11 +33,10 @@ from repro.library.hierarchy import (
     Stage,
     StageResult,
     TreeAllreduceStage,
-    allreduce_stages,
+    allreduce_hierarchy,
     hierarchy_for_topology,
-    vendor_network_stage,
+    pipeline_chunks,
 )
-from repro.library.multinode import MultiNodeAllreduce, MultiNodeResult
 from repro.library.profiler import Profiler, ProfileRecord
 
 __all__ = [
@@ -50,10 +48,6 @@ __all__ = [
     "implementations",
     "Profiler",
     "ProfileRecord",
-    "ClusterAllreduce",
-    "ClusterResult",
-    "MultiNodeAllreduce",
-    "MultiNodeResult",
     "Stage",
     "StageResult",
     "LeafStage",
@@ -66,7 +60,7 @@ __all__ = [
     "SizeSwitchStage",
     "Hierarchy",
     "HierarchyResult",
-    "allreduce_stages",
-    "vendor_network_stage",
+    "allreduce_hierarchy",
+    "pipeline_chunks",
     "hierarchy_for_topology",
 ]

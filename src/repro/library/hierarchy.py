@@ -1,13 +1,12 @@
-"""Composable hierarchical collectives (ROADMAP item 2).
+"""Composable hierarchical collectives.
 
 A cluster-scale collective is a stack of *stages*: any shared-memory
 algorithm (the MA designs, socket-aware MA, the vendor baselines) runs
 as a **leaf stage** on each node, under any pluggable **network stage**
 (ring, binomial tree, Rabenseifner reduce-scatter+allgather, and their
-multi-lane variants) exchanging across nodes.  This generalises the
-hard-coded two-phase :class:`~repro.library.multinode.MultiNodeAllreduce`
-into the explicit hierarchy the hybrid MPI+MPI literature argues for
-(Zhou et al., arXiv:2007.06892; MPI Advance, arXiv:2309.07337):
+multi-lane variants) exchanging across nodes.  This is the explicit
+hierarchy the hybrid MPI+MPI literature argues for (Zhou et al.,
+arXiv:2007.06892; MPI Advance, arXiv:2309.07337):
 
 * every level is a :class:`Stage` object reporting time, DAV-style byte
   counts and traffic counters for *its* level,
@@ -27,19 +26,20 @@ its latency terms and message counts scale with the chunk count, while
 leaf stages — bandwidth-bound on the node's memory system — divide
 their full-message time across chunks.
 
-:func:`allreduce_stages` builds the two standard two-level instances:
-the paper's *partition* hierarchy (MA reduce-scatter -> multi-lane ring
--> MA allgather) and the *leader* hierarchy vendors use on InfiniBand
-(node reduce -> single-lane tree/ring exchange -> node bcast).
-:func:`hierarchy_for_topology` assembles a full hierarchy from a
-:class:`~repro.machine.network.Topology`, including heterogeneous
-NodeA/NodeB groups gated on the slowest group.
+:func:`allreduce_hierarchy` is the one builder of the two-level
+allreduce (Section 5.5, Figure 16b): the paper's *partition* hierarchy
+(MA reduce-scatter -> multi-lane ring -> MA allgather) for YHCCL and the
+*leader* hierarchy vendors use on InfiniBand (node reduce -> single-lane
+tree/ring exchange -> node bcast).  The applications, both bench leaf
+drivers and :func:`hierarchy_for_topology` (heterogeneous NodeA/NodeB
+groups gated on the slowest group) all build through it, and
+:func:`pipeline_chunks` decides every caller's chunk count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.library.communicator import Communicator
 from repro.library.mpi import MPILibrary
@@ -214,12 +214,10 @@ class LeafStage(Stage):
     level = "intra"
 
     def __init__(self, name: str, op: Callable[[int], object], *,
-                 sizer: Optional[Callable[[int], int]] = None,
-                 algorithm: str = ""):
+                 sizer: Optional[Callable[[int], int]] = None):
         self.name = name
         self._op = op
         self._sizer = sizer or (lambda n: n)
-        self._algorithm = algorithm
 
     def evaluate(self, nbytes: int, chunks: int = 1) -> StageResult:
         size = self._sizer(nbytes)
@@ -232,7 +230,7 @@ class LeafStage(Stage):
             chunk_time=time / chunks,
             nbytes=size,
             chunks=chunks,
-            algorithm=self._algorithm or getattr(res, "algorithm", ""),
+            algorithm=getattr(res, "algorithm", ""),
             dav=int(getattr(res, "dav", 0) or 0),
             memory_traffic=int(getattr(res, "memory_traffic", 0) or 0),
         )
@@ -441,14 +439,13 @@ class Hierarchy:
         self.nnodes = nnodes
         self.nranks = nranks
 
-    def run(self, nbytes: int, *, chunks: int = 1,
-            reset: bool = True) -> HierarchyResult:
+    def run(self, nbytes: int, *, chunks: int = 1) -> HierarchyResult:
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         if chunks < 1:
             raise ValueError("need at least one chunk")
-        if reset and self.network is not None:
-            self.network.reset()
+        if self.network is not None:
+            self.network.reset()  # per-call traffic accounting
         results = [s.evaluate(nbytes, chunks) for s in self.stages]
         for stage, res in zip(self.stages, results):
             stage.commit(res)
@@ -474,8 +471,51 @@ class Hierarchy:
 
 
 # ---------------------------------------------------------------------------
-# Standard two-level builders
+# The two-level allreduce
 # ---------------------------------------------------------------------------
+
+#: leaf collective kinds per hierarchy mode
+MODE_KINDS = {
+    "partition": ("reduce_scatter", "allgather"),
+    "leader": ("reduce", "bcast"),
+}
+
+#: inter-node stages that may replace an implementation's native one
+EXCHANGES = ("ring", "tree", "rabenseifner")
+
+#: chunk count of the Section 5.5 segmented pipeline
+PIPELINE_CHUNKS = 4
+
+
+def hierarchy_mode(implementation: str) -> str:
+    """YHCCL runs the paper's partition hierarchy; vendors run the
+    leader hierarchy."""
+    return "partition" if implementation == "YHCCL" else "leader"
+
+
+def node_vendor(implementation: str) -> str:
+    """The node model behind a vendor's leaves (hcoll is Open MPI's
+    collective offload, so its on-node phases are Open MPI's)."""
+    return "Open MPI" if implementation == "OMPI-hcoll" else implementation
+
+
+def leaf_library(comm: Communicator, implementation: str) -> object:
+    """The library facade that runs ``implementation``'s leaves."""
+    if implementation == "YHCCL":
+        return YHCCL(comm)
+    return MPILibrary(comm, node_vendor(implementation))
+
+
+def pipeline_chunks(implementation: str, nnodes: int, nbytes: int) -> int:
+    """Section 5.5's segmented pipeline: chunk k's inter-node ring
+    overlaps chunk k+1's intra-node reduce-scatter.  Chunking a
+    latency-bound message multiplies its latency terms, so only
+    partition hierarchies across nodes pipeline, and only at
+    bandwidth-bound sizes (``PIPELINE_CHUNKS`` MB and up)."""
+    if (hierarchy_mode(implementation) == "partition" and nnodes > 1
+            and nbytes >= PIPELINE_CHUNKS * (1 << 20)):
+        return PIPELINE_CHUNKS
+    return 1
 
 
 def vendor_network_stage(net: Network, nnodes: int, *,
@@ -493,150 +533,116 @@ def vendor_network_stage(net: Network, nnodes: int, *,
     return SizeSwitchStage(tree, ring)
 
 
-def allreduce_stages(lib: object, *, net: Network, nnodes: int,
-                     nranks_per_node: int, mode: str = "partition",
-                     lanes: Optional[int] = None,
-                     network_stage: Optional[Stage] = None,
-                     adaptive: bool = False,
-                     leaf_ops: Optional[Dict[str, Callable[[int], object]]]
-                     = None) -> List[Stage]:
-    """Build the standard two-level allreduce stage stack.
+def exchange_stage(implementation: str, net: Network, nnodes: int,
+                   lanes: int, exchange: str = "") -> Stage:
+    """The inter-node stage of ``implementation``'s hierarchy.
 
-    ``mode="partition"`` is the paper's hierarchy: MA reduce-scatter,
-    multi-lane inter-node ring over the scattered partitions (one lane
-    per rank unless ``lanes`` overrides), MA allgather of
-    ``ceil(nbytes / p)`` per rank.  ``mode="leader"`` is the vendor
-    hierarchy: node reduce, single-lane leader exchange (tree/ring
-    switch, or ``network_stage``), node bcast.
-
-    ``lib`` supplies the leaf collectives (any object with the
-    :class:`~repro.library.yhccl.YHCCL` facade's method names);
-    ``leaf_ops`` overrides individual kinds with custom callables —
-    the bench layer injects compiled-replay leaves this way.
+    The native choice is the multi-lane ring (``lanes`` concurrent
+    senders per node) for the partition hierarchy and the leader
+    tree/ring switch for vendors — hcoll's adaptive probe for
+    ``OMPI-hcoll``.  ``exchange`` names one of :data:`EXCHANGES` to
+    replace it; leader hierarchies drive it through a single lane.
     """
-    p = nranks_per_node
-    if p < 1:
+    if exchange and exchange not in EXCHANGES:
+        raise ValueError(f"unknown exchange stage {exchange!r}; "
+                         f"choose from {EXCHANGES}")
+    partition = hierarchy_mode(implementation) == "partition"
+    lanes = lanes if partition else 1
+    if exchange == "tree":
+        return TreeAllreduceStage(net, nnodes)
+    if exchange == "rabenseifner":
+        return RabenseifnerStage(net, nnodes, lanes=lanes)
+    if exchange == "ring" or partition:
+        return RingStage(net, nnodes, lanes=lanes)
+    return vendor_network_stage(net, nnodes,
+                                adaptive=implementation == "OMPI-hcoll")
+
+
+def allreduce_hierarchy(implementation: str,
+                        groups: Sequence[Tuple[str, int, object]], *,
+                        nnodes: int, network: Optional[Network] = None,
+                        exchange: str = "",
+                        topology: Optional[Topology] = None) -> Hierarchy:
+    """Build the two-level allreduce of ``implementation``.
+
+    The partition hierarchy (YHCCL, the paper's design) is MA
+    reduce-scatter, multi-lane inter-node ring over the scattered
+    partitions, MA allgather of ``ceil(nbytes / p)`` per rank.  The
+    leader hierarchy (vendors) is node reduce, single-lane leader
+    exchange, node bcast.  ``exchange`` overrides the inter-node stage
+    (see :func:`exchange_stage`).
+
+    ``groups`` holds one ``(name, ranks_per_node, lib)`` entry per
+    kind of node; ``lib`` supplies the leaf collectives (any object
+    with the :class:`~repro.library.yhccl.YHCCL` facade's method
+    names).  One group gives plain leaf stages; several give a
+    :class:`GroupedLeafStage` per phase, gated on the slowest group,
+    with as many ring lanes as the smallest group has ranks (every
+    node must sustain that concurrency).
+    """
+    if not groups:
+        raise ValueError("need at least one node group")
+    if any(p < 1 for _, p, _ in groups):
         raise ValueError("need at least one rank per node")
-    ops = dict(leaf_ops or {})
+    mode = hierarchy_mode(implementation)
+    net = network or Network()
+    lanes = min(p for _, p, _ in groups)
 
-    def op(kind: str) -> Callable[[int], object]:
-        return ops.get(kind) or getattr(lib, kind)
-
-    if mode == "partition":
-        exchange = network_stage or RingStage(
-            net, nnodes, lanes=lanes if lanes is not None else p)
-        return [
-            LeafStage("reduce_scatter", op("reduce_scatter")),
-            exchange,
-            # every rank gathers its ceil-division partition; the last
-            # partition may be ragged but no rank gathers more than
-            # ceil(nbytes / p), and p * ceil(nbytes / p) >= nbytes
-            LeafStage("allgather", op("allgather"),
-                      sizer=lambda n: ceil_div(n, p) if n else 0),
-        ]
-    if mode == "leader":
-        exchange = network_stage or vendor_network_stage(
-            net, nnodes, adaptive=adaptive)
-        return [
-            LeafStage("reduce", op("reduce")),
-            exchange,
-            LeafStage("bcast", op("bcast")),
-        ]
-    raise ValueError(f"unknown hierarchy mode: {mode!r}")
-
-
-@dataclass
-class _GroupLib:
-    """A node group's leaf library plus its shape."""
-
-    group_name: str
-    lib: object
-    ranks_per_node: int
-
-
-def _leaf_library(machine_name: str, ranks_per_node: int,
-                  implementation: str) -> object:
-    machine = PRESETS[machine_name]
-    comm = Communicator(ranks_per_node, machine=machine, functional=False)
-    if implementation == "YHCCL":
-        return YHCCL(comm)
-    vendor = "Open MPI" if implementation == "OMPI-hcoll" else implementation
-    return MPILibrary(comm, vendor)
-
-
-def hierarchy_for_topology(topology: Topology, *,
-                           implementation: str = "YHCCL",
-                           mode: Optional[str] = None,
-                           lanes: Optional[int] = None,
-                           adaptive: Optional[bool] = None,
-                           network: Optional[Network] = None,
-                           network_stage_factory: Optional[
-                               Callable[[Network, int], Stage]] = None,
-                           name: str = "") -> Hierarchy:
-    """Assemble a two-level hierarchy for a whole cluster topology.
-
-    Homogeneous topologies get plain leaf stages; heterogeneous ones a
-    :class:`GroupedLeafStage` per phase, gated on the slowest group.
-    The exchange defaults to the implementation's native choice —
-    multi-lane ring for YHCCL (lanes = the *smallest* group's rank
-    count, since every node must sustain that concurrency), the
-    tree/ring leader switch for vendors.
-    """
-    mode = mode or ("partition" if implementation == "YHCCL" else "leader")
-    adaptive = (implementation == "OMPI-hcoll" if adaptive is None
-                else adaptive)
-    net = network or Network(topology.network)
-    nnodes = topology.nnodes
-    min_p = min(g.ranks_per_node for g in topology.groups)
-
-    if network_stage_factory is not None:
-        exchange: Stage = network_stage_factory(net, nnodes)
-    elif mode == "partition":
-        exchange = RingStage(net, nnodes,
-                             lanes=lanes if lanes is not None else min_p)
-    else:
-        exchange = vendor_network_stage(net, nnodes, adaptive=adaptive)
-
-    libs = [
-        _GroupLib(g.machine, _leaf_library(g.machine, g.ranks_per_node,
-                                           implementation),
-                  g.ranks_per_node)
-        for g in topology.groups
-    ]
-
-    def leaf(kind: str, sizer_per_p: bool = False) -> Stage:
+    def leaf(kind: str, partitioned: bool = False) -> Stage:
         children = [
             LeafStage(
-                f"{kind}@{gl.group_name}" if len(libs) > 1 else kind,
-                getattr(gl.lib, kind),
-                sizer=(lambda n, p=gl.ranks_per_node:
-                       ceil_div(n, p) if n else 0) if sizer_per_p else None,
+                f"{kind}@{name}" if len(groups) > 1 else kind,
+                getattr(lib, kind),
+                # every rank gathers its ceil-division partition; the
+                # last partition may be ragged but no rank gathers more
+                # than ceil(nbytes / p), and p * ceil(nbytes / p) >= nbytes
+                sizer=(lambda n, p=p: ceil_div(n, p) if n else 0)
+                if partitioned else None,
             )
-            for gl in libs
+            for name, p, lib in groups
         ]
         if len(children) == 1:
             return children[0]
         return GroupedLeafStage(kind, children)
 
-    if mode == "partition":
-        stages: List[Stage] = [
-            leaf("reduce_scatter"), exchange, leaf("allgather", True)
-        ]
-    else:
-        stages = [leaf("reduce"), exchange, leaf("bcast")]
-
+    inter = exchange_stage(implementation, net, nnodes, lanes, exchange)
+    first, last = MODE_KINDS[mode]
+    stages = [leaf(first), inter, leaf(last, partitioned=mode == "partition")]
     return Hierarchy(
         stages,
-        name=name or f"{implementation}-{mode}",
+        name=f"{implementation}-{mode}",
         network=net,
+        nnodes=nnodes,
+        nranks=nnodes * groups[0][1],
         topology=topology,
     )
+
+
+def hierarchy_for_topology(topology: Topology, *,
+                           implementation: str = "YHCCL",
+                           exchange: str = "") -> Hierarchy:
+    """:func:`allreduce_hierarchy` over a whole cluster topology: one
+    leaf library per node group, on the topology's network."""
+    groups = [
+        (g.machine, g.ranks_per_node,
+         leaf_library(Communicator(g.ranks_per_node,
+                                   machine=PRESETS[g.machine],
+                                   functional=False), implementation))
+        for g in topology.groups
+    ]
+    return allreduce_hierarchy(
+        implementation, groups, nnodes=topology.nnodes,
+        network=Network(topology.network), exchange=exchange,
+        topology=topology)
 
 
 # re-exported for convenience alongside the stage classes
 __all__ = [
     "HIER_SCHEMA",
     "VENDOR_TREE_CUTOFF",
+    "MODE_KINDS",
+    "EXCHANGES",
+    "PIPELINE_CHUNKS",
     "ceil_div",
     "StageResult",
     "HierarchyResult",
@@ -650,7 +656,12 @@ __all__ = [
     "BestOfStage",
     "SizeSwitchStage",
     "Hierarchy",
+    "hierarchy_mode",
+    "node_vendor",
+    "leaf_library",
+    "pipeline_chunks",
     "vendor_network_stage",
-    "allreduce_stages",
+    "exchange_stage",
+    "allreduce_hierarchy",
     "hierarchy_for_topology",
 ]

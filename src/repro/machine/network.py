@@ -18,7 +18,8 @@ switch) and then :meth:`Network.commit` only the one that actually
 runs.  The historical ``*_time`` helpers are thin pure wrappers around
 the cost methods.  ``bytes_sent`` / ``messages`` therefore reflect
 exactly the committed traffic; :meth:`Network.reset` gives per-call
-accounting (see :mod:`repro.library.multinode`).
+accounting (every :meth:`repro.library.hierarchy.Hierarchy.run`
+resets its network first).
 
 :class:`Topology` describes a whole cluster — groups of identical
 nodes (machine preset, node count, ranks per node) sharing one NIC

@@ -27,30 +27,23 @@ class TestHierarchySpec:
 
     def test_non_defaults_kept_sorted(self):
         spec = hierarchy_spec("OMPI-hcoll", nnodes=16, exchange="tree",
-                              network="InfiniBand-HDR-2rail",
-                              pipelined=False)
+                              network="InfiniBand-HDR-2rail")
         assert spec.params == (
             ("exchange", "tree"),
             ("network", "InfiniBand-HDR-2rail"),
             ("nnodes", 16),
-            ("pipelined", False),
         )
 
-    def test_pipelined_false_survives(self):
-        # regression: a generic truthiness filter dropped False
-        assert ("pipelined", False) in hierarchy_spec(
-            "YHCCL", pipelined=False).params
-
     def test_describe_round_trip(self):
-        spec = hierarchy_spec("YHCCL", nnodes=8, lanes=4)
+        spec = hierarchy_spec("YHCCL", nnodes=8, exchange="rabenseifner")
         assert RunnerSpec.from_dict(spec.describe()) == spec
 
     def test_with_param_merges_and_stays_sorted(self):
-        spec = hierarchy_spec("YHCCL", mode="partition")
+        spec = hierarchy_spec("YHCCL", exchange="ring")
         bumped = spec.with_param(nnodes=64)
-        assert bumped.params == (("mode", "partition"), ("nnodes", 64))
+        assert bumped.params == (("exchange", "ring"), ("nnodes", 64))
         assert bumped.with_param(nnodes=128).params == (
-            ("mode", "partition"), ("nnodes", 128))
+            ("exchange", "ring"), ("nnodes", 128))
 
 
 class TestNodesAxis:
@@ -79,16 +72,18 @@ class TestNodesAxis:
 class TestResolveConfig:
     def test_defaults_per_implementation(self):
         y = resolve_config("YHCCL", {"nnodes": 4})
-        assert y.mode == "partition" and not y.adaptive
+        assert y.kinds == ("reduce_scatter", "allgather")
+        assert (y.network, y.exchange) == ("InfiniBand-EDR", "")
         h = resolve_config("OMPI-hcoll", {"nnodes": 4})
-        assert h.mode == "leader" and h.adaptive
-        assert h.vendor == "Open MPI"
+        assert h.kinds == ("reduce", "bcast")
 
     def test_rejects_missing_nnodes(self):
         with pytest.raises(ValueError, match="nnodes"):
             resolve_config("YHCCL", {})
 
     def test_rejects_unknown_mode_network_exchange(self):
+        # the hierarchy mode follows the implementation; a spec that
+        # tries to set it (or any other unknown param) fails by name
         with pytest.raises(ValueError, match="mode"):
             resolve_config("YHCCL", {"nnodes": 4, "mode": "flat"})
         with pytest.raises(ValueError, match="network"):

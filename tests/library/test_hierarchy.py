@@ -1,6 +1,6 @@
 """Composable hierarchy framework tests: stage composition, the
-estimate/commit counter discipline, pipeline accounting, topology
-assembly and equivalence with the multinode facade."""
+estimate/commit counter discipline, pipeline accounting, the two-level
+allreduce builder and its topology front."""
 
 import pytest
 
@@ -10,16 +10,16 @@ from repro.library.hierarchy import (
     GroupedLeafStage,
     Hierarchy,
     LeafStage,
-    RabenseifnerStage,
     RingStage,
     SizeSwitchStage,
     TreeAllreduceStage,
-    allreduce_stages,
+    allreduce_hierarchy,
     ceil_div,
     hierarchy_for_topology,
+    leaf_library,
     vendor_network_stage,
 )
-from repro.library.multinode import MultiNodeAllreduce
+from repro.library.mpi import MPILibrary
 from repro.library.yhccl import YHCCL
 from repro.machine.network import Network, NodeGroup, Topology
 
@@ -200,22 +200,21 @@ class TestHierarchyComposition:
 class TestAllreduceStages:
     def test_partition_stack(self):
         comm = Communicator(8, machine=TINY, functional=False)
-        net = Network()
-        stages = allreduce_stages(YHCCL(comm), net=net, nnodes=4,
-                                  nranks_per_node=8)
-        assert [s.name for s in stages] == ["reduce_scatter",
-                                            "ring-8lane", "allgather"]
+        h = allreduce_hierarchy("YHCCL", [("", 8, YHCCL(comm))], nnodes=4)
+        assert [s.name for s in h.stages] == ["reduce_scatter",
+                                              "ring-8lane", "allgather"]
+        assert h.name == "YHCCL-partition" and h.nranks == 32
 
     def test_leader_stack(self):
         comm = Communicator(8, machine=TINY, functional=False)
-        from repro.library.mpi import MPILibrary
-
-        net = Network()
-        stages = allreduce_stages(MPILibrary(comm, "Open MPI"), net=net,
-                                  nnodes=4, nranks_per_node=8,
-                                  mode="leader")
-        assert stages[0].name == "reduce" and stages[2].name == "bcast"
-        assert isinstance(stages[1], SizeSwitchStage)
+        h = allreduce_hierarchy(
+            "Open MPI", [("", 8, MPILibrary(comm, "Open MPI"))], nnodes=4)
+        assert h.stages[0].name == "reduce" and h.stages[2].name == "bcast"
+        assert isinstance(h.stages[1], SizeSwitchStage)
+        hcoll = allreduce_hierarchy(
+            "OMPI-hcoll", [("", 8, leaf_library(comm, "OMPI-hcoll"))],
+            nnodes=4)
+        assert isinstance(hcoll.stages[1], BestOfStage)
 
     def test_allgather_partition_is_ceil_divided(self):
         sizes = []
@@ -224,38 +223,56 @@ class TestAllreduceStages:
             sizes.append(n)
             return FakeLeafResult(1.0)
 
-        net = Network()
-        stages = allreduce_stages(
-            None, net=net, nnodes=4, nranks_per_node=8,
-            leaf_ops={"reduce_scatter": lambda n: FakeLeafResult(1.0),
-                      "allgather": fake_ag})
-        ag = stages[2]
+        class Leaves:
+            reduce_scatter = staticmethod(lambda n: FakeLeafResult(1.0))
+            allgather = staticmethod(fake_ag)
+
+        h = allreduce_hierarchy("YHCCL", [("", 8, Leaves)], nnodes=4)
+        ag = h.stages[2]
         ag.evaluate(100)  # 100 bytes over 8 ranks -> ceil = 13
         ag.evaluate(5)  # tiny message: one byte per rank, not the whole 5
         ag.evaluate(0)
         assert sizes == [13, 1, 0]
 
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            allreduce_stages(None, net=Network(), nnodes=4,
-                             nranks_per_node=8, mode="flat")
+    @pytest.mark.parametrize("impl,exchange,algorithm", [
+        ("YHCCL", "tree", "tree"),
+        ("YHCCL", "rabenseifner", "rabenseifner"),
+        ("Intel MPI", "ring", "ring"),  # leaders drive a single lane
+        ("Intel MPI", "rabenseifner", "rabenseifner"),
+    ])
+    def test_exchange_override(self, impl, exchange, algorithm):
+        comm = Communicator(8, machine=TINY, functional=False)
+        h = allreduce_hierarchy(impl, [("", 8, leaf_library(comm, impl))],
+                                nnodes=8, exchange=exchange)
+        assert h.stages[1].name == algorithm
+        lanes = 8 if impl == "YHCCL" else 1
+        assert getattr(h.stages[1], "lanes", lanes) == lanes
+
+    def test_rejects_unknown_exchange(self):
+        with pytest.raises(ValueError, match="exchange"):
+            allreduce_hierarchy("YHCCL", [("", 8, None)], nnodes=4,
+                                exchange="gossip")
 
 
 class TestTopologyHierarchy:
-    def test_uniform_matches_multinode_facade(self):
-        """The composed two-level hierarchy reproduces the multinode
-        facade bitwise on a uniform topology."""
-        topo = Topology.uniform("NodeA", 4, 8)
-        h = hierarchy_for_topology(topo)
-        hres = h.run(1 * MB)
+    def test_uniform_matches_homogeneous_builder(self):
+        """The topology front over a one-group topology is the
+        homogeneous builder, bitwise."""
         from repro.machine.spec import PRESETS
 
-        mn = MultiNodeAllreduce(
-            Communicator(8, machine=PRESETS["NodeA"], functional=False), 4)
-        mres = mn.allreduce(1 * MB)  # below the pipeline gate
-        assert hres.time == mres.time
-        assert hres.intra_time == mres.intra_time
-        assert hres.inter_time == mres.inter_time
+        topo = Topology.uniform("NodeA", 4, 8)
+        for impl in ("YHCCL", "OMPI-hcoll"):
+            hres = hierarchy_for_topology(
+                topo, implementation=impl).run(1 * MB)
+            comm = Communicator(8, machine=PRESETS["NodeA"],
+                                functional=False)
+            bres = allreduce_hierarchy(
+                impl, [("", 8, leaf_library(comm, impl))],
+                nnodes=4).run(1 * MB)
+            assert hres.stages == bres.stages
+            assert hres.time == bres.time
+            assert hres.to_doc() == dict(bres.to_doc(),
+                                         topology=topo.describe())
 
     def test_heterogeneous_groups_gate_on_slowest(self):
         topo = Topology(groups=(NodeGroup("NodeA", 2, 8),
@@ -276,12 +293,10 @@ class TestTopologyHierarchy:
         h = hierarchy_for_topology(topo, implementation="OMPI-hcoll")
         assert isinstance(h.stages[1], BestOfStage)
 
-    def test_custom_network_stage_factory(self):
+    def test_topology_exchange_override(self):
         topo = Topology.uniform("NodeA", 8, 8)
-        h = hierarchy_for_topology(
-            topo,
-            network_stage_factory=lambda net, n: RabenseifnerStage(
-                net, n, lanes=8))
+        h = hierarchy_for_topology(topo, exchange="rabenseifner")
+        assert h.stages[1].lanes == 8
         res = h.run(1 * MB)
         inter = [s for s in res.stages if s.level == "inter"]
         assert inter[0].algorithm == "rabenseifner"

@@ -1,9 +1,17 @@
-"""Multi-node hierarchical allreduce tests (Figure 16b mechanisms)."""
+"""Multi-node hierarchical allreduce tests (Figure 16b mechanisms),
+driven through the single two-level builder exactly as the
+applications call it."""
 
 import pytest
 
 from repro.library.communicator import Communicator
-from repro.library.multinode import MultiNodeAllreduce
+from repro.library.hierarchy import (
+    PIPELINE_CHUNKS,
+    allreduce_hierarchy,
+    leaf_library,
+    pipeline_chunks,
+)
+from repro.machine.network import Network
 
 from tests.conftest import TINY
 
@@ -11,36 +19,54 @@ KB = 1024
 MB = 1024 * KB
 
 
-def mk(implementation, nnodes):
-    comm = Communicator(8, machine=TINY, functional=False)
-    return MultiNodeAllreduce(comm, nnodes, implementation=implementation)
+class Cluster:
+    """The application call pattern: one builder call, then every
+    allreduce runs with the shared pipelining rule."""
+
+    def __init__(self, implementation, nnodes):
+        comm = Communicator(8, machine=TINY, functional=False)
+        self.implementation = implementation
+        self.nnodes = nnodes
+        self.hierarchy = allreduce_hierarchy(
+            implementation, [("", 8, leaf_library(comm, implementation))],
+            nnodes=nnodes)
+        self.network = self.hierarchy.network
+
+    def allreduce(self, nbytes):
+        return self.hierarchy.run(nbytes, chunks=pipeline_chunks(
+            self.implementation, self.nnodes, nbytes))
+
+    def serial(self, nbytes):
+        return self.hierarchy.run(nbytes, chunks=1)
+
+
+def overlap_saving(res):
+    """Fraction of the serial phase sum hidden by pipelining."""
+    return 1.0 - res.time / (res.intra_time + res.inter_time)
 
 
 class TestMultiNode:
     def test_single_node_no_network(self):
-        res = mk("YHCCL", 1).allreduce(1 * MB)
+        res = Cluster("YHCCL", 1).allreduce(1 * MB)
         assert res.inter_time == 0.0
         assert res.time == res.intra_time
 
     def test_rejects_zero_nodes(self):
-        comm = Communicator(8, machine=TINY, functional=False)
         with pytest.raises(ValueError):
-            MultiNodeAllreduce(comm, 0)
+            Cluster("YHCCL", 0)
 
     def test_breakdown_sums(self):
-        comm = Communicator(8, machine=TINY, functional=False)
-        res = MultiNodeAllreduce(comm, 8, implementation="YHCCL",
-                                 pipelined=False).allreduce(4 * MB)
+        res = Cluster("YHCCL", 8).serial(4 * MB)
         assert res.time == pytest.approx(res.intra_time + res.inter_time)
         # the default (pipelined) never exceeds the serial sum
-        piped = mk("YHCCL", 8).allreduce(4 * MB)
+        piped = Cluster("YHCCL", 8).allreduce(4 * MB)
         assert piped.time <= res.intra_time + res.inter_time
 
     def test_multilane_beats_single_leader_large(self):
         """YHCCL's multi-lane network phase (Section 5.5)."""
         s = 64 * MB
-        y = mk("YHCCL", 16).allreduce(s)
-        o = mk("Open MPI", 16).allreduce(s)
+        y = Cluster("YHCCL", 16).allreduce(s)
+        o = Cluster("Open MPI", 16).allreduce(s)
         assert y.inter_time < o.inter_time
         assert y.time < o.time
 
@@ -49,16 +75,14 @@ class TestMultiNode:
         across many nodes — the paper's stated weakness of YHCCL's
         ring-based strategy."""
         s = 16 * KB
-        y = mk("YHCCL", 64).allreduce(s)
-        h = mk("OMPI-hcoll", 64).allreduce(s)
+        y = Cluster("YHCCL", 64).allreduce(s)
+        h = Cluster("OMPI-hcoll", 64).allreduce(s)
         assert h.inter_time < y.inter_time
 
     def test_hcoll_picks_best_network_phase(self):
-        small = mk("OMPI-hcoll", 16).allreduce(16 * KB)
-        big = mk("OMPI-hcoll", 16).allreduce(64 * MB)
+        small = Cluster("OMPI-hcoll", 16).allreduce(16 * KB)
+        big = Cluster("OMPI-hcoll", 16).allreduce(64 * MB)
         # consistent: never worse than both pure strategies
-        from repro.machine.network import Network
-
         net = Network()
         assert small.inter_time <= net.ring_allreduce_time(16 * KB, 16)
         assert big.inter_time <= net.tree_allreduce_time(64 * MB, 16)
@@ -66,7 +90,7 @@ class TestMultiNode:
     @pytest.mark.parametrize("impl", ["YHCCL", "Open MPI", "MVAPICH2",
                                       "MPICH", "OMPI-hcoll"])
     def test_all_implementations_run(self, impl):
-        assert mk(impl, 4).allreduce(1 * MB).time > 0
+        assert Cluster(impl, 4).allreduce(1 * MB).time > 0
 
 
 class TestPipelinedOverlap:
@@ -74,29 +98,34 @@ class TestPipelinedOverlap:
     intra-node phases."""
 
     def test_pipelined_faster_than_serial(self):
-        comm = Communicator(8, machine=TINY, functional=False)
-        serial = MultiNodeAllreduce(comm, 8, implementation="YHCCL",
-                                    pipelined=False).allreduce(8 * MB)
-        comm2 = Communicator(8, machine=TINY, functional=False)
-        piped = MultiNodeAllreduce(comm2, 8, implementation="YHCCL",
-                                   pipelined=True).allreduce(8 * MB)
+        serial = Cluster("YHCCL", 8).serial(8 * MB)
+        piped = Cluster("YHCCL", 8).allreduce(8 * MB)
         assert piped.time < serial.time
         assert piped.pipelined and not serial.pipelined
-        assert 0.0 < piped.overlap_saving < 1.0
+        assert 0.0 < overlap_saving(piped) < 1.0
 
     def test_single_node_unaffected(self):
-        comm = Communicator(8, machine=TINY, functional=False)
-        res = MultiNodeAllreduce(comm, 1, implementation="YHCCL",
-                                 pipelined=True).allreduce(1 * MB)
+        res = Cluster("YHCCL", 1).allreduce(1 * MB)
         assert not res.pipelined
         assert res.inter_time == 0.0
 
     def test_pipeline_bounded_below_by_slowest_stage(self):
-        comm = Communicator(8, machine=TINY, functional=False)
-        mn = MultiNodeAllreduce(comm, 16, implementation="YHCCL")
-        res = mn.allreduce(16 * MB)
+        res = Cluster("YHCCL", 16).allreduce(16 * MB)
         assert res.time >= max(res.inter_time,
                                res.intra_time / 2) * 0.99
+
+
+class TestPipelineRule:
+    """One rule decides every caller's chunk count: partition
+    hierarchies across nodes, bandwidth-bound sizes only."""
+
+    def test_threshold_and_scope(self):
+        big = PIPELINE_CHUNKS * MB
+        assert pipeline_chunks("YHCCL", 16, big) == PIPELINE_CHUNKS
+        assert pipeline_chunks("YHCCL", 16, big - 1) == 1
+        assert pipeline_chunks("YHCCL", 1, big) == 1
+        for vendor in ("Open MPI", "Intel MPI", "OMPI-hcoll"):
+            assert pipeline_chunks(vendor, 16, 64 * MB) == 1
 
 
 class TestVendorProbeAccounting:
@@ -104,9 +133,9 @@ class TestVendorProbeAccounting:
     must record only the chosen one (estimate/commit split)."""
 
     def test_counters_reflect_only_the_chosen_path(self):
-        mn = mk("OMPI-hcoll", 16)
+        mn = Cluster("OMPI-hcoll", 16)
         res = mn.allreduce(16 * KB)  # tree wins at this size
-        inter = [s for s in res.hierarchy.stages if s.level == "inter"]
+        inter = [s for s in res.stages if s.level == "inter"]
         assert inter[0].algorithm == "tree"
         tree = mn.network.tree_allreduce_cost(16 * KB, 16)
         ring = mn.network.ring_allreduce_cost(16 * KB, 16)
@@ -115,7 +144,7 @@ class TestVendorProbeAccounting:
         assert mn.network.messages == tree.messages
 
     def test_counters_reset_per_call(self):
-        mn = mk("OMPI-hcoll", 16)
+        mn = Cluster("OMPI-hcoll", 16)
         mn.allreduce(16 * KB)
         first = (mn.network.bytes_sent, mn.network.messages)
         mn.allreduce(16 * KB)
@@ -128,19 +157,18 @@ class TestCeilPartition:
     (nbytes < p)."""
 
     def ag_stage(self, res):
-        return next(s for s in res.hierarchy.stages
-                    if s.name == "allgather")
+        return next(s for s in res.stages if s.name == "allgather")
 
     def test_remainder_not_dropped(self):
-        res = mk("YHCCL", 4).allreduce(100)  # 100 over p=8 ranks
+        res = Cluster("YHCCL", 4).allreduce(100)  # 100 over p=8 ranks
         assert self.ag_stage(res).nbytes == 13  # ceil, not 12
 
     def test_tiny_message_not_inflated(self):
-        res = mk("YHCCL", 4).allreduce(5)  # nbytes < p
+        res = Cluster("YHCCL", 4).allreduce(5)  # nbytes < p
         assert self.ag_stage(res).nbytes == 1  # one byte, not all 5
 
     def test_exact_division_unchanged(self):
-        res = mk("YHCCL", 4).allreduce(1 * MB)
+        res = Cluster("YHCCL", 4).allreduce(1 * MB)
         assert self.ag_stage(res).nbytes == 1 * MB // 8
 
 
@@ -150,39 +178,36 @@ class TestPipelinedAccounting:
     counters."""
 
     def test_messages_scale_with_chunks(self):
-        mn = mk("YHCCL", 8)
+        mn = Cluster("YHCCL", 8)
         res = mn.allreduce(8 * MB)
         assert res.pipelined
-        c = MultiNodeAllreduce.PIPELINE_CHUNKS
+        c = PIPELINE_CHUNKS
+        assert res.chunks == c
         per = mn.network.ring_allreduce_cost(
             -(-8 * MB // c), 8, concurrent_procs=8)
-        inter = next(s for s in res.hierarchy.stages if s.level == "inter")
+        inter = next(s for s in res.stages if s.level == "inter")
         assert inter.messages == c * per.messages
         assert inter.steps == c * per.steps
         assert inter.time == per.time * c
 
     def test_document_totals_match_live_counters(self):
-        mn = mk("YHCCL", 8)
+        mn = Cluster("YHCCL", 8)
         res = mn.allreduce(8 * MB)
-        assert mn.network.bytes_sent == res.hierarchy.network_bytes
-        assert mn.network.messages == res.hierarchy.network_messages
-        doc = res.hierarchy.to_doc()
+        assert mn.network.bytes_sent == res.network_bytes
+        assert mn.network.messages == res.network_messages
+        doc = res.to_doc()
         assert doc["network"]["bytes_sent"] == sum(
             lv["bytes_on_wire"] for lv in doc["levels"])
 
 
 class TestLegacyEquivalence:
-    """The composed two-level hierarchy reproduces the pre-refactor
-    facade arithmetic bitwise (serial path: intra sum + inter sum)."""
+    """The two-level hierarchy reproduces the original phase-sum
+    arithmetic bitwise (serial path: intra sum + inter sum)."""
 
     def test_yhccl_serial_time_is_legacy_formula(self):
-        comm = Communicator(8, machine=TINY, functional=False)
-        mn = MultiNodeAllreduce(comm, 16, implementation="YHCCL",
-                                pipelined=False)
         s = 4 * MB
-        res = mn.allreduce(s)
+        res = Cluster("YHCCL", 16).serial(s)
         from repro.library.yhccl import YHCCL
-        from repro.machine.network import Network
 
         lib = YHCCL(Communicator(8, machine=TINY, functional=False))
         rs = lib.reduce_scatter(s)
@@ -193,12 +218,9 @@ class TestLegacyEquivalence:
         assert res.inter_time == inter
 
     def test_vendor_serial_time_is_legacy_formula(self):
-        comm = Communicator(8, machine=TINY, functional=False)
-        mn = MultiNodeAllreduce(comm, 16, implementation="Open MPI")
         s = 1 * MB
-        res = mn.allreduce(s)
+        res = Cluster("Open MPI", 16).allreduce(s)
         from repro.library.mpi import MPILibrary
-        from repro.machine.network import Network
 
         lib = MPILibrary(Communicator(8, machine=TINY, functional=False),
                          "Open MPI")
