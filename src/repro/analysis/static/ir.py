@@ -316,6 +316,34 @@ class ScheduleIR:
             self._topo = out
         return self._topo
 
+    def wavefronts(self) -> Tuple[List[int], List[int]]:
+        """Node ids in wavefront order, plus the wavefront bounds.
+
+        Nodes sort by (longest-path depth, toposort position), so
+        wavefront ``d`` — the nodes whose longest predecessor chain has
+        ``d`` edges — is ``order[level_ptr[d]:level_ptr[d + 1]]``.
+        Wavefront 0 is exactly the predecessor-free nodes and every
+        edge runs from an earlier wavefront to a later one.  This is
+        the node numbering :func:`repro.sim.compiled.lower` stores, so
+        per-op vectors computed from the IR (certified byte counts)
+        align with the compiled arrays index for index.
+        """
+        topo = self.toposort()
+        preds = self.preds()
+        depth = [0] * len(self.nodes)
+        depth_of = depth.__getitem__
+        for v in topo:
+            if preds[v]:
+                depth[v] = 1 + max(map(depth_of, preds[v]))
+        # a stable sort: nodes of equal depth keep their topo order
+        order = sorted(topo, key=depth_of)
+        level_ptr = [0] * (depth[order[-1]] + 2 if order else 1)
+        for d in depth:
+            level_ptr[d + 1] += 1
+        for d in range(1, len(level_ptr)):
+            level_ptr[d] += level_ptr[d - 1]
+        return order, level_ptr
+
     def ancestors(self) -> List[int]:
         """Per-node ancestor sets as bitmasks: bit ``a`` of
         ``ancestors()[b]`` means ``a`` happens-before ``b``.

@@ -254,7 +254,7 @@ class SymbolicSchedule:
         self.buffers = list(buffers)
         self.nodes = list(nodes)
         self.edges = list(edges)
-        self._topo: Optional[List[int]] = None
+        self._order: Optional[List[int]] = None
 
     # ---- instantiation ----------------------------------------------
 
@@ -293,19 +293,19 @@ class SymbolicSchedule:
 
     def compiled_nbytes(self, s: int) -> List[int]:
         """Exact per-op byte counts at ``s`` in *compiled* order — the
-        toposort renumbering :func:`repro.sim.compiled.lower` applies,
-        so the list aligns index-for-index with
-        ``CompiledSchedule.nbytes``."""
-        if self._topo is None:
+        wavefront numbering (:meth:`ScheduleIR.wavefronts`)
+        :func:`repro.sim.compiled.lower` applies, so the list aligns
+        index-for-index with ``CompiledSchedule.nbytes``."""
+        if self._order is None:
             skeleton = ScheduleIR(
                 meta={"nranks": self.meta.get("nranks", 0)},
                 buffers=[b.at(self.lo) for b in self.buffers],
                 nodes=[n.at(self.lo) for n in self.nodes],
                 edges=list(self.edges),
             )
-            self._topo = skeleton.toposort()
+            self._order = skeleton.wavefronts()[0]
         per_node = self.op_nbytes(s)
-        return [per_node[v] for v in self._topo]
+        return [per_node[v] for v in self._order]
 
     # ---- accounting --------------------------------------------------
 

@@ -68,7 +68,7 @@ class CompiledScheduleCache(ResultCache):
 
     Same entry layout and stats as the result cache (``key`` /
     ``descriptor`` / ``result``, atomic writes), different payload:
-    ``result`` holds the ``repro-compiled/1`` schedule document.
+    ``result`` holds the ``repro-compiled/2`` schedule document.
     Entries live under ``benchmarks/results/compiled/<k[:2]>/``.
     """
 

@@ -17,6 +17,7 @@ simulated YHCCL curve starts beating pure t-copy at these sizes.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional
 
 from repro.machine.spec import MachineSpec, available_cache_capacity
@@ -63,11 +64,8 @@ def _socket_group_sizes(p: int, machine: MachineSpec) -> list:
     """Distinct non-empty per-socket rank-group sizes at rank count
     ``p`` — the group sizes the socket-aware level-1 pipelines run
     over (:func:`repro.collectives.socket_aware.socket_groups`)."""
-    return sorted({
-        len(machine.ranks_on_socket(p, sock))
-        for sock in range(machine.sockets)
-        if machine.ranks_on_socket(p, sock)
-    })
+    per_socket = Counter(machine.socket_of_rank(r, p) for r in range(p))
+    return sorted(set(per_socket.values()))
 
 
 def shape_atoms(kind: str, s: int, p: int, machine: MachineSpec, *,

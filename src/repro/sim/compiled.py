@@ -11,13 +11,20 @@ exploits that by splitting the work in two:
 1. **capture** — run the collective *once* through the coroutine
    engine with tracing on and lift the run into the ``repro-ir/1``
    op-dependency DAG (:mod:`repro.analysis.static`);
-2. **lower** (:func:`lower`) — flatten the DAG into a topologically
-   ordered table of numpy arrays: op kind, byte footprint, rank,
-   calibrated duration and CSR predecessor offsets carrying the
-   post→wait pair latencies the engine charges on sync edges;
+2. **lower** (:func:`lower`) — flatten the DAG into a table of numpy
+   arrays numbered by (longest-path depth, toposort position): op
+   kind, byte footprint, rank, calibrated duration and CSR predecessor
+   offsets carrying the post→wait pair latencies the engine charges on
+   sync edges.  Each wavefront (nodes of equal depth) is then a
+   contiguous node range, so the whole evaluation plan is one
+   ``level_ptr`` array of wavefront bounds, computed once at capture
+   and stored with the schedule;
 3. **evaluate** (:meth:`CompiledSchedule.evaluate`) — recompute every
-   op's completion time with level-by-level vectorized max-plus
-   relaxations.  No coroutines, no Python-level per-op dispatch.
+   op's completion time wavefront by wavefront: one predecessor gather
+   and at most one ``np.maximum.reduceat`` max-plus relaxation per
+   wavefront, reading and writing the wavefront's nodes as slices.  No
+   coroutines, no Python-level per-op dispatch, and no plan to rebuild
+   when a schedule is loaded from the cache.
 
 The completion-time recurrence is exactly the engine's:
 
@@ -48,14 +55,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.machine.spec import socket_of_rank_meta
 
 #: schema tag for serialized compiled schedules
-COMPILED_SCHEMA = "repro-compiled/1"
+COMPILED_SCHEMA = "repro-compiled/2"
 
 #: every schedule schema this loader understands (same guard idiom as
 #: the trace/certificate loaders in :mod:`repro.sim.replay`)
@@ -137,46 +144,20 @@ class BatchedTimes:
         return self.rank_times.shape[0]
 
 
-def _concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Vectorized ``concatenate([arange(s, s+l) for s, l in ...])``."""
-    nz = lens > 0
-    starts, lens = starts[nz], lens[nz]
-    if starts.size == 0:
-        return np.empty(0, dtype=np.int64)
-    total = int(lens.sum())
-    out = np.ones(total, dtype=np.int64)
-    out[0] = starts[0]
-    if starts.size > 1:
-        offs = np.cumsum(lens)[:-1]
-        out[offs] = starts[1:] - starts[:-1] - lens[:-1] + 1
-    return np.cumsum(out)
-
-
-@dataclass
-class _Level:
-    """One wavefront of the evaluation plan (nodes of equal DAG depth).
-
-    ``solo`` are the level's predecessor-free nodes (start directly
-    from the base clock); the remaining arrays drive one
-    ``np.maximum.reduceat`` gather over the concatenated predecessor
-    lists of the level's other nodes.
-    """
-
-    solo: np.ndarray  # int64 [a] node ids without predecessors
-    nodes: np.ndarray  # int64 [b] node ids with predecessors
-    gather: np.ndarray  # int64 [m] concatenated predecessor node ids
-    gather_lat: np.ndarray  # float64 [m] per-edge latency
-    seg: np.ndarray  # int64 [b] segment starts into gather
-
-
 @dataclass
 class CompiledSchedule:
-    """A lowered schedule: flat numpy arrays plus the evaluation plan.
+    """A lowered schedule: flat numpy arrays in wavefront order.
 
     Instances come from :func:`lower` (fresh capture) or
     :func:`schedule_from_doc` (cache hit); ``meta`` carries the capture
     context (collective, algorithm, machine meta, reference times,
     per-rank traffic) the bench layer re-emits with replayed results.
+
+    Nodes are numbered by (longest-path depth, toposort position), so
+    wavefront ``d`` is the contiguous node range ``lo:hi`` with
+    ``lo, hi = level_ptr[d], level_ptr[d + 1]`` and its predecessor
+    edges are one CSR slice, ``pred[indptr[lo]:indptr[hi]]``.
+    ``level_ptr`` is the whole evaluation plan.
     """
 
     meta: dict
@@ -192,90 +173,13 @@ class CompiledSchedule:
     pred_lat: np.ndarray  # float64 [m]
     #: last node of each rank's program-order chain (-1: rank idle)
     last_of_rank: np.ndarray  # int64 [nranks]
+    #: wavefront bounds: level d is nodes level_ptr[d]:level_ptr[d+1]
+    level_ptr: np.ndarray  # int64 [levels+1]
     #: member lists of barrier join nodes, for start-time broadcast
     groups: Dict[int, Sequence[int]] = field(default_factory=dict)
-    _plan: Optional[List[_Level]] = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.kind)
-
-    # ---- evaluation plan ---------------------------------------------
-
-    def _levels(self) -> List[_Level]:
-        """Partition nodes into wavefronts of equal dependency depth and
-        pre-gather each wavefront's predecessor segments (built once;
-        every :meth:`evaluate` call reuses it).
-
-        Depth is longest-path depth, computed by level-synchronous Kahn
-        rounds over a successor CSR (a node joins the frontier exactly
-        when its deepest predecessor has been processed), and each
-        level's gather arrays are sliced out of one stable sort of the
-        edge list by destination depth — no per-node Python work.
-        """
-        if self._plan is not None:
-            return self._plan
-        n = len(self)
-        indptr, pred = self.indptr, self.pred
-        counts = np.diff(indptr)
-        m = int(indptr[-1])
-        dst_of_edge = np.repeat(np.arange(n, dtype=np.int64), counts)
-        if m:
-            # successor CSR: stable sort keeps each source's out-edges
-            # in original (destination-ascending) order
-            succ_order = np.argsort(pred, kind="stable")
-            succ_dst = dst_of_edge[succ_order]
-            succ_counts = np.bincount(pred, minlength=n)
-        else:
-            succ_dst = np.empty(0, dtype=np.int64)
-            succ_counts = np.zeros(n, dtype=np.int64)
-        succ_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(succ_counts, out=succ_indptr[1:])
-        depth = np.zeros(n, dtype=np.int64)
-        indeg = counts.copy()
-        frontier = np.flatnonzero(indeg == 0)
-        d = 0
-        while frontier.size:
-            depth[frontier] = d
-            d += 1
-            idx = _concat_ranges(succ_indptr[frontier],
-                                 succ_counts[frontier])
-            if idx.size == 0:
-                break  # no out-edges left: lower() guarantees a DAG
-            targets = succ_dst[idx]
-            np.subtract.at(indeg, targets, 1)
-            frontier = np.unique(targets[indeg[targets] == 0])
-        nlev = int(depth.max()) + 1 if n else 0
-        order = np.argsort(depth, kind="stable")
-        bounds = np.searchsorted(depth[order], np.arange(nlev + 1))
-        if m:
-            edepth = depth[dst_of_edge]
-            edge_order = np.argsort(edepth, kind="stable")
-            ecounts = np.bincount(edepth, minlength=nlev)
-            gathers = pred[edge_order]
-            glats = self.pred_lat[edge_order]
-        else:
-            ecounts = np.zeros(nlev, dtype=np.int64)
-            gathers = np.empty(0, dtype=np.int64)
-            glats = np.empty(0, dtype=np.float64)
-        ebounds = np.zeros(nlev + 1, dtype=np.int64)
-        np.cumsum(ecounts, out=ebounds[1:])
-        plan: List[_Level] = []
-        for dlev in range(nlev):
-            nodes = order[bounds[dlev]:bounds[dlev + 1]]
-            cnt = counts[nodes]
-            solo = nodes[cnt == 0]
-            rest = nodes[cnt > 0]
-            seg = np.zeros(rest.size, dtype=np.int64)
-            if rest.size > 1:
-                np.cumsum(counts[rest][:-1], out=seg[1:])
-            plan.append(_Level(
-                solo=solo, nodes=rest,
-                gather=gathers[ebounds[dlev]:ebounds[dlev + 1]],
-                gather_lat=glats[ebounds[dlev]:ebounds[dlev + 1]],
-                seg=seg,
-            ))
-        self._plan = plan
-        return plan
 
     def _base_batch(self, st: Optional[np.ndarray], B: int) -> np.ndarray:
         """Per-node start floor, batched: each rank's initial clock
@@ -327,9 +231,12 @@ class CompiledSchedule:
         ``start_times`` is ``(B, nranks)`` (or ``(nranks,)``,
         broadcast), ``dur`` is ``(B, n_ops)`` (or ``(n_ops,)``,
         broadcast); ``batch`` pins ``B`` when both are broadcast.  The
-        wavefront recurrence runs with one ``np.maximum.reduceat`` per
-        level *across the whole batch* (``axis=1``), so each row
-        executes exactly the element-wise IEEE operations a single
+        recurrence walks ``level_ptr``: each wavefront is a contiguous
+        node range whose predecessor edges are one contiguous CSR
+        slice, so a wavefront costs one predecessor gather and at most
+        one ``np.maximum.reduceat`` *across the whole batch*
+        (``axis=1``) and reads and writes its own nodes by slicing.
+        Each row executes exactly the element-wise IEEE operations a single
         :meth:`evaluate` call would — row ``i`` of the result is
         bitwise-identical to evaluating ``(start_times[i], dur[i])``
         alone.  This is what makes thousand-replay perturbation
@@ -373,17 +280,25 @@ class CompiledSchedule:
             durv = np.broadcast_to(durv, (B, n))
         base = self._base_batch(st, B)
         comp = np.zeros((B, n), dtype=np.float64)
-        for level in self._levels():
-            if level.solo.size:
-                comp[:, level.solo] = (base[:, level.solo]
-                                       + durv[:, level.solo])
-            if level.nodes.size:
-                vals = comp[:, level.gather] + level.gather_lat
-                arrive = np.maximum.reduceat(vals, level.seg, axis=1)
-                comp[:, level.nodes] = (
-                    np.maximum(base[:, level.nodes], arrive)
-                    + durv[:, level.nodes]
-                )
+        lp = self.level_ptr.tolist()
+        if n:
+            # wavefront 0 is exactly the predecessor-free nodes
+            comp[:, :lp[1]] = base[:, :lp[1]] + durv[:, :lp[1]]
+        indptr, pred, lat = self.indptr, self.pred, self.pred_lat
+        eptr = indptr[self.level_ptr].tolist()
+        # each node's segment start within its wavefront's edge slice
+        seg = indptr[:-1] - np.repeat(indptr[self.level_ptr[:-1]],
+                                      np.diff(self.level_ptr))
+        for d in range(1, len(lp) - 1):
+            lo, hi, e0, e1 = lp[d], lp[d + 1], eptr[d], eptr[d + 1]
+            arrive = comp.take(pred[e0:e1], axis=1)
+            arrive += lat[e0:e1]
+            # every node past wavefront 0 has a predecessor, so one
+            # edge per node needs no fold
+            if e1 - e0 > hi - lo:
+                arrive = np.maximum.reduceat(arrive, seg[lo:hi], axis=1)
+            comp[:, lo:hi] = np.maximum(base[:, lo:hi], arrive) \
+                + durv[:, lo:hi]
         rank_times = np.zeros((B, self.nranks), dtype=np.float64)
         live = self.last_of_rank >= 0
         if live.any():
@@ -434,7 +349,7 @@ def symbolic_durations(cs: "CompiledSchedule", machine,
     (``bench --compiled --poly --certified``): ``nbytes`` is the exact
     per-op byte vector a region certificate
     (:class:`repro.analysis.static.symbolic.SymbolicSchedule`) evaluated
-    at the replay size, in compiled (toposort) op order.  Unlike the
+    at the replay size, in compiled (wavefront) op order.  Unlike the
     plain retiming path — which *scales* the captured footprints by
     ``s_new / s_captured`` — these are engine-exact integers, so the
     only remaining approximation is the duration model itself.
@@ -512,7 +427,9 @@ def lower(ir) -> CompiledSchedule:
     deadlocked capture — refuse to lower) and carry the machine meta
     projection if the capture had a machine model: the post→wait pair
     latencies on sync edges are recomputed from the socket topology
-    exactly as the engine charges them.
+    exactly as the engine charges them.  Nodes are renumbered in the
+    IR's wavefront order (:meth:`ScheduleIR.wavefronts`), whose bounds
+    become ``level_ptr``.
     """
     nodes = ir.nodes
     if not nodes:
@@ -525,7 +442,7 @@ def lower(ir) -> CompiledSchedule:
             )
         if n.kind not in KIND_CODES:
             raise CompileError(f"unknown op kind {n.kind!r} in IR")
-    topo = ir.toposort()
+    order, level_ptr = ir.wavefronts()
     machine = ir.meta.get("machine") or {}
     intra = float(machine.get("sync_latency_intra", 0.0))
     inter = float(machine.get("sync_latency_inter", 0.0))
@@ -538,9 +455,9 @@ def lower(ir) -> CompiledSchedule:
         return socket_of_rank_meta(rank, nranks, sockets=sockets,
                                    cores_per_socket=cps, binding=binding)
 
-    # renumber into topological positions so the stored arrays are a
-    # valid execution order by construction
-    pos = {v: i for i, v in enumerate(topo)}
+    # renumber into wavefront positions: the stored arrays are a valid
+    # execution order and every wavefront is a contiguous node range
+    pos = {v: i for i, v in enumerate(order)}
     n = len(nodes)
     kind = np.zeros(n, dtype=np.int8)
     rank = np.zeros(n, dtype=np.int32)
@@ -606,7 +523,8 @@ def lower(ir) -> CompiledSchedule:
     return CompiledSchedule(
         meta=meta, nranks=nranks, kind=kind, rank=rank, nbytes=nbytes,
         nt=nt, dur=dur, t_end_ref=t_end, indptr=indptr, pred=pred,
-        pred_lat=pred_lat, last_of_rank=last_of_rank, groups=groups,
+        pred_lat=pred_lat, last_of_rank=last_of_rank,
+        level_ptr=np.asarray(level_ptr, dtype=np.int64), groups=groups,
     )
 
 
@@ -616,7 +534,7 @@ def lower(ir) -> CompiledSchedule:
 
 
 def schedule_to_doc(cs: CompiledSchedule) -> dict:
-    """JSON-safe document form (schema ``repro-compiled/1``)."""
+    """JSON-safe document form (schema ``repro-compiled/2``)."""
     return {
         "schema": COMPILED_SCHEMA,
         "meta": cs.meta,
@@ -631,6 +549,7 @@ def schedule_to_doc(cs: CompiledSchedule) -> dict:
         "pred": cs.pred.tolist(),
         "pred_lat": cs.pred_lat.tolist(),
         "last_of_rank": cs.last_of_rank.tolist(),
+        "level_ptr": cs.level_ptr.tolist(),
         "groups": {str(k): list(v) for k, v in cs.groups.items()},
     }
 
@@ -638,8 +557,67 @@ def schedule_to_doc(cs: CompiledSchedule) -> dict:
 #: fields a schedule document must carry to be loadable at all
 _REQUIRED_DOC_FIELDS = (
     "nranks", "kind", "rank", "nbytes", "nt", "dur", "t_end",
-    "indptr", "pred", "pred_lat", "last_of_rank",
+    "indptr", "pred", "pred_lat", "last_of_rank", "level_ptr",
 )
+
+
+def _invalid(schema: str, name: str, why: str) -> ScheduleSchemaError:
+    return ScheduleSchemaError(
+        f"compiled-schedule document ({schema}) has an invalid "
+        f"{name!r}: {why}")
+
+
+def _structure_problem(cs: CompiledSchedule) -> Optional[Tuple[str, str]]:
+    """Vectorized checks that a loaded schedule is safe to evaluate:
+    ``(field, what is wrong)`` for the first failed check, else ``None``.
+
+    Every index the evaluator follows must be in range and the stored
+    plan must be a valid wavefront order: ``level_ptr`` rises strictly
+    from 0 to ``n``, wavefront 0 is exactly the predecessor-free nodes
+    and every edge runs from an earlier wavefront to a later one.
+    Without these a bad ``pred`` index surfaces as an ``IndexError``
+    deep inside :meth:`CompiledSchedule.evaluate_batch` or, worse,
+    silently reads a completion time that is not computed yet.
+    """
+    n = len(cs)
+    m = cs.pred.shape[0] if cs.pred.ndim == 1 else -1
+    shapes = {"kind": (cs.kind, n), "rank": (cs.rank, n),
+              "nbytes": (cs.nbytes, n), "nt": (cs.nt, n),
+              "dur": (cs.dur, n), "t_end": (cs.t_end_ref, n),
+              "indptr": (cs.indptr, n + 1), "pred": (cs.pred, m),
+              "pred_lat": (cs.pred_lat, m),
+              "last_of_rank": (cs.last_of_rank, cs.nranks)}
+    for name, (arr, size) in shapes.items():
+        if arr.shape != (size,):
+            return name, f"shape {arr.shape}, expected ({size},)"
+    if ((cs.kind < 0) | (cs.kind >= len(KIND_CODES))).any():
+        return "kind", f"entries outside [0, {len(KIND_CODES)})"
+    if ((cs.rank < -1) | (cs.rank >= cs.nranks)).any():
+        return "rank", f"entries outside [-1, {cs.nranks})"
+    if ((cs.last_of_rank < -1) | (cs.last_of_rank >= n)).any():
+        return "last_of_rank", f"entries outside [-1, {n})"
+    for v, group in cs.groups.items():
+        if not 0 <= v < n or any(not 0 <= r < cs.nranks for r in group):
+            return "groups", f"barrier {v} out of range"
+    counts = np.diff(cs.indptr)
+    if cs.indptr[0] != 0 or cs.indptr[-1] != m or (counts < 0).any():
+        return "indptr", f"must rise monotonically from 0 to {m}"
+    if ((cs.pred < 0) | (cs.pred >= n)).any():
+        return "pred", f"entries outside [0, {n})"
+    lp = cs.level_ptr
+    if lp.ndim != 1 or lp.shape[0] < 1 or lp[0] != 0 or lp[-1] != n \
+            or (np.diff(lp) <= 0).any():
+        return "level_ptr", f"must rise strictly from 0 to {n}"
+    if n and (counts[:lp[1]] != 0).any():
+        return "level_ptr", "a wavefront-0 node has predecessors"
+    if n and (counts[lp[1]:] == 0).any():
+        return "level_ptr", "a predecessor-free node is outside wavefront 0"
+    level = np.repeat(np.arange(lp.shape[0] - 1), np.diff(lp))
+    dst = np.repeat(np.arange(n), counts)
+    if (level[cs.pred] >= level[dst]).any():
+        return "pred", ("an edge does not run from an earlier wavefront "
+                        "to a later one")
+    return None
 
 
 def schedule_from_doc(doc: dict) -> CompiledSchedule:
@@ -649,10 +627,12 @@ def schedule_from_doc(doc: dict) -> CompiledSchedule:
     serialization), so a cache-loaded schedule evaluates bitwise
     identically to the freshly lowered one.
 
-    Corrupt or future-versioned documents raise
+    Corrupt, future-versioned and ``repro-compiled/1`` documents (the
+    superseded toposort layout, which carries no wavefront plan) raise
     :class:`ScheduleSchemaError` naming the supported schema versions
-    (never a raw ``KeyError``): the schedule cache treats that as a
-    recapture signal, not a crash.
+    (never a raw ``KeyError``), and so does a document whose indices or
+    stored wavefront plan fail :func:`_structure_problem`: the schedule
+    cache treats that as a recapture signal, not a crash.
     """
     if not isinstance(doc, dict):
         raise ScheduleSchemaError(
@@ -672,19 +652,31 @@ def schedule_from_doc(doc: dict) -> CompiledSchedule:
             f"compiled-schedule document ({schema}) is missing "
             f"required fields: {', '.join(missing)}"
         )
-    return CompiledSchedule(
+
+    def array(name: str, dtype) -> np.ndarray:
+        try:
+            return np.asarray(doc[name], dtype=dtype)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise _invalid(schema, name, str(exc)) from exc
+
+    cs = CompiledSchedule(
         meta=dict(doc.get("meta", {})),
         nranks=int(doc["nranks"]),
-        kind=np.asarray(doc["kind"], dtype=np.int8),
-        rank=np.asarray(doc["rank"], dtype=np.int32),
-        nbytes=np.asarray(doc["nbytes"], dtype=np.int64),
-        nt=np.asarray(doc["nt"], dtype=bool),
-        dur=np.asarray(doc["dur"], dtype=np.float64),
-        t_end_ref=np.asarray(doc["t_end"], dtype=np.float64),
-        indptr=np.asarray(doc["indptr"], dtype=np.int64),
-        pred=np.asarray(doc["pred"], dtype=np.int64),
-        pred_lat=np.asarray(doc["pred_lat"], dtype=np.float64),
-        last_of_rank=np.asarray(doc["last_of_rank"], dtype=np.int64),
+        kind=array("kind", np.int8),
+        rank=array("rank", np.int32),
+        nbytes=array("nbytes", np.int64),
+        nt=array("nt", bool),
+        dur=array("dur", np.float64),
+        t_end_ref=array("t_end", np.float64),
+        indptr=array("indptr", np.int64),
+        pred=array("pred", np.int64),
+        pred_lat=array("pred_lat", np.float64),
+        last_of_rank=array("last_of_rank", np.int64),
+        level_ptr=array("level_ptr", np.int64),
         groups={int(k): tuple(v)
                 for k, v in doc.get("groups", {}).items()},
     )
+    problem = _structure_problem(cs)
+    if problem is not None:
+        raise _invalid(schema, *problem)
+    return cs

@@ -197,6 +197,24 @@ class TestCertificateDoc:
         assert exc.value.code == "SA-SYM-SCHEMA"
 
 
+class TestCompiledOrderAlignment:
+    """``compiled_nbytes`` must list a certificate's per-op bytes in the
+    node numbering :func:`repro.sim.compiled.lower` stores — the
+    certified replay path compares and swaps them index for index."""
+
+    @pytest.mark.parametrize("kind,base", [("bcast", 64 * 1024),
+                                           ("allreduce", 512 * 1024)])
+    def test_compiled_nbytes_matches_lowered_schedule(self, kind, base):
+        from repro.bench.compiled import capture_schedule
+
+        spec = yhccl_spec(kind)
+        sym, report = certify_region(spec, NODE_A, 4, base)
+        assert report.ok, [f.message for f in report.errors]
+        for s in (base, sym.anchors[1]):
+            cs = capture_schedule(spec, NODE_A, 4, s)
+            assert sym.compiled_nbytes(s) == cs.nbytes.tolist(), s
+
+
 class TestCertifyMatrix:
     def test_small_matrix_certifies(self):
         reports = certify_matrix(

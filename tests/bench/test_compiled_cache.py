@@ -48,7 +48,7 @@ def _payload(results_dir=None, **over):
 
 class TestScheduleDescriptor:
     def test_schema_tag(self):
-        assert schedule_descriptor(_cell())["schema"] == "repro-compiled/1"
+        assert schedule_descriptor(_cell())["schema"] == "repro-compiled/2"
 
     @pytest.mark.parametrize("over", [
         {"p": 8},
@@ -117,7 +117,51 @@ class TestExecCompiledCell:
         assert out["time"] > 0
         # the recapture repaired the entry on disk
         repaired = json.loads(path.read_text())
-        assert repaired["result"]["schema"] == "repro-compiled/1"
+        assert repaired["result"]["schema"] == "repro-compiled/2"
+
+    def _tamper_and_replay(self, tmp_path, tamper):
+        """Corrupt the cached document with ``tamper``, replay from disk
+        and return ``(result, repaired document)``."""
+        exec_compiled_cell(_payload(tmp_path))
+        key = descriptor_key(schedule_descriptor(_cell()))
+        path = tmp_path / "compiled" / key[:2] / f"{key}.json"
+        entry = json.loads(path.read_text())
+        tamper(entry["result"])
+        path.write_text(json.dumps(entry))
+        clear_schedule_memo()
+        out = exec_compiled_cell(_payload(tmp_path))
+        return out, json.loads(path.read_text())["result"]
+
+    def test_v1_entry_recaptured(self, tmp_path):
+        def to_v1(doc):
+            doc["schema"] = "repro-compiled/1"
+            del doc["level_ptr"]
+
+        ref = exec_compiled_cell(_payload())
+        ref.pop("captured", None)
+        out, repaired = self._tamper_and_replay(tmp_path, to_v1)
+        assert out.pop("captured") is True
+        assert out == ref
+        assert repaired["schema"] == "repro-compiled/2"
+        assert "level_ptr" in repaired
+
+    @pytest.mark.parametrize("field,value", [
+        ("pred", 10 ** 6),
+        ("pred", -1),
+        ("indptr", 10 ** 6),
+        ("level_ptr", 10 ** 6),
+        ("pred", 2 ** 70),
+    ])
+    def test_tampered_plan_recaptured(self, tmp_path, field, value):
+        def tamper(doc):
+            doc[field][-1] = value
+
+        ref = exec_compiled_cell(_payload())
+        ref.pop("captured", None)
+        out, repaired = self._tamper_and_replay(tmp_path, tamper)
+        assert out.pop("captured") is True
+        assert out == ref
+        assert repaired[field][-1] != value
 
     def test_matches_coroutine_cell(self, tmp_path):
         from repro.bench.executor import exec_payload

@@ -110,7 +110,7 @@ class TestRoundTrip:
             schedule_from_doc(doc)
         # the error names the offending and the supported versions
         assert "repro-compiled/0" in str(exc.value)
-        assert "repro-compiled/1" in str(exc.value)
+        assert "repro-compiled/2" in str(exc.value)
 
     def test_non_dict_doc_is_a_named_error(self):
         with pytest.raises(ScheduleSchemaError, match="document"):
@@ -130,7 +130,7 @@ class TestRoundTrip:
     def test_doc_is_json_safe(self):
         cs = capture_schedule(SPECS["bcast/pipelined"], MACHINE, 4, 65536)
         doc = json.loads(json.dumps(schedule_to_doc(cs)))
-        assert doc["schema"] == "repro-compiled/1"
+        assert doc["schema"] == "repro-compiled/2"
         assert len(doc["kind"]) == len(cs)
         assert len(doc["indptr"]) == len(cs) + 1
 
